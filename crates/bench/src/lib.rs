@@ -27,11 +27,14 @@ pub fn save_json<T: ToJson>(name: &str, rows: &T) {
 /// document shape (not the metric values) changes.
 pub const BENCH_SCHEMA_VERSION: i64 = 1;
 
-/// Serialize one benchmark document to `BENCH_<name>.json` at the repository
-/// root with the stable cross-PR schema
+/// Serialize one benchmark document with the stable cross-PR schema
 /// `{name, config, metrics{…}, schema_version}`, so successive PRs can diff
 /// the perf trajectory mechanically. `config` records what was run (sizes,
 /// machine preset, `--quick`), `metrics` the measured numbers.
+///
+/// A full run writes `BENCH_<name>.json` at the repository root — the
+/// checked-in trajectory. A `--quick` smoke run writes the same document
+/// under `bench-results/quick/` instead, so smoke runs never overwrite it.
 pub fn save_bench_json(name: &str, config: Json, metrics: Json) {
     let doc = Json::obj(vec![
         ("name", Json::Str(name.to_string())),
@@ -39,7 +42,16 @@ pub fn save_bench_json(name: &str, config: Json, metrics: Json) {
         ("metrics", metrics),
         ("schema_version", Json::Int(BENCH_SCHEMA_VERSION)),
     ]);
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{name}.json"));
+    let file = format!("BENCH_{name}.json");
+    let path = if quick_mode() {
+        let dir = results_dir().join("quick");
+        fs::create_dir_all(&dir).expect("create bench-results/quick dir");
+        dir.join(file)
+    } else {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(file)
+    };
     fs::write(&path, doc.pretty()).expect("write BENCH json");
     eprintln!("(benchmark doc written to {})", path.display());
 }

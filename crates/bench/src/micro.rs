@@ -94,6 +94,53 @@ impl Display for BenchmarkId {
     }
 }
 
+/// Wall times of repeated runs of one payload (see [`repeat`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Samples {
+    /// Per-run wall times in milliseconds, ascending.
+    pub ms: Vec<f64>,
+}
+
+impl Samples {
+    /// Samples from unordered wall times in milliseconds (at least one).
+    pub fn new(mut ms: Vec<f64>) -> Self {
+        assert!(!ms.is_empty(), "samples need at least one run");
+        ms.sort_by(|a, b| a.total_cmp(b));
+        Samples { ms }
+    }
+
+    /// Fastest run.
+    pub fn min(&self) -> f64 {
+        self.ms[0]
+    }
+
+    /// Median run (the upper median for an even count).
+    pub fn median(&self) -> f64 {
+        self.ms[self.ms.len() / 2]
+    }
+
+    /// Relative spread `(max − min) / median`: how far apart the runs
+    /// landed, so a reader can tell a speed-up from host noise.
+    pub fn spread(&self) -> f64 {
+        (self.ms[self.ms.len() - 1] - self.ms[0]) / self.median().max(1e-12)
+    }
+}
+
+/// Time `k ≥ 1` runs of `payload` one by one (no batching: each run is a
+/// whole workload, not a nanosecond kernel). Returns the sorted wall times
+/// and the last run's value.
+pub fn repeat<R>(k: usize, mut payload: impl FnMut() -> R) -> (Samples, R) {
+    assert!(k >= 1, "repeat needs at least one run");
+    let mut ms = Vec::with_capacity(k);
+    let mut last = None;
+    for _ in 0..k {
+        let start = Instant::now();
+        last = Some(black_box(payload()));
+        ms.push(start.elapsed().as_secs_f64() * 1e3);
+    }
+    (Samples::new(ms), last.expect("k >= 1"))
+}
+
 /// Passed to the benchmark closure; `iter` times the payload.
 pub struct Bencher {
     iters: u64,
@@ -187,4 +234,27 @@ macro_rules! criterion_main {
             $($group();)*
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repeat_reports_order_statistics() {
+        let mut n = 0;
+        let (s, last) = repeat(3, || {
+            n += 1;
+            n
+        });
+        assert_eq!(last, 3);
+        assert_eq!(s.ms.len(), 3);
+        assert!(s.ms.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(s.min(), s.ms[0]);
+        assert_eq!(s.median(), s.ms[1]);
+        let fixed = Samples {
+            ms: vec![1.0, 2.0, 4.0],
+        };
+        assert_eq!(fixed.spread(), 1.5);
+    }
 }

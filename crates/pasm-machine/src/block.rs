@@ -30,6 +30,7 @@ use pasm_isa::analysis::{basic_blocks, BlockSpan};
 use pasm_isa::timing::{cycle_split, CycleSplit, DynTerm};
 use pasm_isa::Instr;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Per-instruction compiled metadata, parallel to the program's `instrs`.
 ///
@@ -149,24 +150,61 @@ pub fn fingerprint(instrs: &[Instr]) -> u64 {
     h.finish()
 }
 
+/// The per-instruction metadata of one instruction (block index 0). Also
+/// used for SIMD broadcast blocks, which the lockstep batch executes from
+/// the Fetch-Unit queue rather than from a program stream.
+pub fn instr_meta(i: &Instr) -> InstrMeta {
+    InstrMeta {
+        instr: *i,
+        split: cycle_split(i),
+        variance_min: match i {
+            Instr::Mulu { .. } | Instr::Muls { .. } => 38,
+            Instr::Divu { .. } => 76,
+            Instr::Divs { .. } => 84,
+            _ => 0,
+        },
+        stop: is_stop(i),
+        block: 0,
+    }
+}
+
+/// An MC program's SIMD blocks (its Fetch Unit RAM), flattened so a queue
+/// entry names its instruction by one index, with the per-instruction
+/// metadata the lockstep batch executes them with.
+#[derive(Debug, Clone, Default)]
+pub struct SimdBlocks {
+    /// Every block instruction, blocks concatenated in order; queue entries
+    /// carry their index here.
+    pub instrs: Vec<Instr>,
+    /// Index in `instrs` of each block's first instruction.
+    pub start: Vec<u32>,
+    /// `instrs`' metadata, compiled on first use: only the lockstep batch
+    /// reads it, so interpreter-only and MIMD runs never pay for it.
+    meta: OnceLock<Vec<InstrMeta>>,
+}
+
+impl SimdBlocks {
+    /// Flatten an MC program's blocks.
+    pub fn new(blocks: &[Vec<Instr>]) -> Self {
+        let mut out = SimdBlocks::default();
+        for b in blocks {
+            out.start.push(out.instrs.len() as u32);
+            out.instrs.extend_from_slice(b);
+        }
+        out
+    }
+
+    /// Metadata of every instruction, parallel to `instrs`.
+    pub fn meta(&self) -> &[InstrMeta] {
+        self.meta
+            .get_or_init(|| self.instrs.iter().map(instr_meta).collect())
+    }
+}
+
 /// Compile an instruction stream into its block table.
 pub fn compile(instrs: &[Instr]) -> CompiledProgram {
     let spans = basic_blocks(instrs);
-    let mut meta: Vec<InstrMeta> = instrs
-        .iter()
-        .map(|i| InstrMeta {
-            instr: *i,
-            split: cycle_split(i),
-            variance_min: match i {
-                Instr::Mulu { .. } | Instr::Muls { .. } => 38,
-                Instr::Divu { .. } => 76,
-                Instr::Divs { .. } => 84,
-                _ => 0,
-            },
-            stop: is_stop(i),
-            block: 0,
-        })
-        .collect();
+    let mut meta: Vec<InstrMeta> = instrs.iter().map(instr_meta).collect();
     let blocks: Vec<CompiledBlock> = spans
         .iter()
         .enumerate()

@@ -235,6 +235,10 @@ pub fn exec<B: Bus + ?Sized>(cpu: &mut Cpu, bus: &mut B, instr: &Instr) -> StepO
 /// equal for every instruction × context — the invariant is pinned by the
 /// `pasm-isa` decomposition tests — so the fast path charges byte-identical
 /// cycles while paying only for the dynamic term.
+///
+/// Always inlined: each engine's loop gets its own copy, specialized for its
+/// bus and for whether `split` is present.
+#[inline(always)]
 pub fn exec_timed<B: Bus + ?Sized>(
     cpu: &mut Cpu,
     bus: &mut B,

@@ -37,6 +37,9 @@ pub struct QueueEntry {
     pub mask: u16,
     /// Width in 16-bit words (capacity accounting; data words are 1).
     pub words: u32,
+    /// Index of the instruction in the enqueuing MC's flattened block table
+    /// (see [`FetchUnit::command_block`]); 0 for data words.
+    pub meta: u32,
     /// Cycle at which the controller finished moving it into the queue.
     pub ready_at: u64,
     /// PEs (group-local bits) that have consumed it (decoupled mode only).
@@ -49,12 +52,14 @@ pub struct FucItem {
     pub kind: EntryKind,
     pub mask: u16,
     pub words: u32,
+    /// See [`QueueEntry::meta`].
+    pub meta: u32,
     /// Earliest cycle the controller may start on it (MC command latency).
     pub earliest: u64,
 }
 
 /// Aggregate Fetch Unit statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FuStats {
     /// Entries that passed through the queue.
     pub entries: u64,
@@ -114,13 +119,15 @@ impl FetchUnit {
     }
 
     /// Queue an MC command: move `block` (a list of instructions) starting no
-    /// earlier than `earliest`.
-    pub fn command_block(&mut self, block: &[Instr], earliest: u64) {
-        for &i in block {
+    /// earlier than `earliest`. Instruction k carries index `first_meta + k`
+    /// into the MC's flattened block table.
+    pub fn command_block(&mut self, block: &[Instr], first_meta: u32, earliest: u64) {
+        for (k, &i) in block.iter().enumerate() {
             self.pending.push_back(FucItem {
                 kind: EntryKind::Instr(i),
                 mask: self.mask,
                 words: i.words().max(1),
+                meta: first_meta + k as u32,
                 earliest,
             });
         }
@@ -133,6 +140,7 @@ impl FetchUnit {
                 kind: EntryKind::Data,
                 mask: self.mask,
                 words: 1,
+                meta: 0,
                 earliest,
             });
         }
@@ -168,20 +176,22 @@ impl FetchUnit {
             kind: item.kind,
             mask: item.mask,
             words: item.words,
+            meta: item.meta,
             ready_at: completion,
             consumed: 0,
         });
     }
 
-    /// Remove the head entry (it has been released), freeing its words at
-    /// `release_time`.
-    pub fn pop_head(&mut self, release_time: u64) {
+    /// Remove and return the head entry (it has been released), freeing its
+    /// words at `release_time`.
+    pub fn pop_head(&mut self, release_time: u64) -> QueueEntry {
         let e = self.queue.pop_front().expect("pop_head on empty queue");
         self.occupancy_words -= e.words;
         if self.fuc_blocked {
             self.space_available_at = self.space_available_at.max(release_time);
             self.fuc_blocked = false;
         }
+        e
     }
 }
 
@@ -193,7 +203,7 @@ mod tests {
     fn commands_snapshot_mask() {
         let mut fu = FetchUnit::new(64);
         fu.mask = 0b0101;
-        fu.command_block(&[Instr::Nop], 0);
+        fu.command_block(&[Instr::Nop], 0, 0);
         fu.mask = 0b1111;
         fu.command_data_words(1, 0);
         assert_eq!(fu.pending[0].mask, 0b0101);
@@ -203,7 +213,7 @@ mod tests {
     #[test]
     fn controller_moves_in_fifo_order() {
         let mut fu = FetchUnit::new(64);
-        fu.command_block(&[Instr::Nop, Instr::Halt], 10);
+        fu.command_block(&[Instr::Nop, Instr::Halt], 0, 10);
         let c1 = fu.next_move_completion(2).unwrap();
         assert_eq!(c1, 10 + 2); // NOP = 1 word * 2 cycles, starting at 10
         fu.do_move(c1);
@@ -219,7 +229,7 @@ mod tests {
     #[test]
     fn capacity_blocks_and_pop_unblocks() {
         let mut fu = FetchUnit::new(2);
-        fu.command_block(&[Instr::Nop, Instr::Nop, Instr::Nop], 0);
+        fu.command_block(&[Instr::Nop, Instr::Nop, Instr::Nop], 0, 0);
         let c = fu.next_move_completion(1).unwrap();
         fu.do_move(c);
         let c = fu.next_move_completion(1).unwrap();

@@ -31,15 +31,17 @@ pub mod account;
 pub mod block;
 pub mod config;
 pub mod cpu;
+pub mod engine;
 pub mod fault;
 pub mod fetch_unit;
 pub mod machine;
 pub mod trace;
 
 pub use account::{Bucket, CycleAccount, MachineAccounts, PhaseSpan, BUCKET_NAMES, N_BUCKETS};
-pub use block::{CompiledBlock, CompiledProgram, InstrMeta};
+pub use block::{CompiledBlock, CompiledProgram, InstrMeta, SimdBlocks};
 pub use config::{MachineConfig, ReleaseMode};
 pub use cpu::{Cpu, Effect, StepOutcome};
+pub use engine::{BatchExit, EngineStats, EXIT_NAMES, N_EXITS};
 pub use fault::{FaultPlan, PeFault, PeFaultSpec};
 pub use fetch_unit::FuStats;
 pub use machine::{drr_ea, dtr_ea, status_ea, Machine, PeMode, RunError, RunResult};

@@ -86,6 +86,10 @@ impl MemTiming {
     /// cycles plus its own delay. This is what the machine charges on top of
     /// the core instruction time for instruction fetch and operand traffic.
     pub fn burst_delay(&self, mut now: u64, accesses: u32) -> u64 {
+        if self.refresh_interval == 0 {
+            // No refresh: every access pays exactly the wait states.
+            return self.wait_states as u64 * accesses as u64;
+        }
         let start = now;
         for _ in 0..accesses {
             now += self.access_delay(now);

@@ -3,7 +3,7 @@
 
 use pasm_kernels::Kernel;
 use pasm_machine::{
-    FaultPlan, Machine, MachineConfig, RunError, RunResult, BUCKET_NAMES, N_BUCKETS,
+    EngineStats, FaultPlan, Machine, MachineConfig, RunError, RunResult, BUCKET_NAMES, N_BUCKETS,
 };
 use pasm_prog::matmul::{self, select_vm, MatmulParams};
 use pasm_prog::Matrix;
@@ -617,6 +617,21 @@ pub fn run_kernel_opts(
     input: &[u16],
     opts: &RunOptions,
 ) -> Result<KernelOutcome, RunError> {
+    run_kernel_engine(cfg, kernel, mode, params, input, opts).map(|(out, _)| out)
+}
+
+/// [`run_kernel_opts`] that also returns the machine's host-side
+/// [`EngineStats`]: which engine executed the PE instructions and why the
+/// batched engines fell back. The counters describe the simulator, not the
+/// simulated run, so they stay out of [`KernelOutcome`].
+pub fn run_kernel_engine(
+    cfg: &MachineConfig,
+    kernel: &'static dyn Kernel,
+    mode: Mode,
+    params: MatmulParams,
+    input: &[u16],
+    opts: &RunOptions,
+) -> Result<(KernelOutcome, EngineStats), RunError> {
     assert!(
         mode != Mode::Serial || kernel.supports_serial(),
         "{} has no serial variant",
@@ -638,14 +653,15 @@ pub fn run_kernel_opts(
     kernel.load(&mut machine, mode, params, &vm, input)?;
     let run = machine.run()?;
     let output = kernel.read_output(&machine, mode, params, &vm);
-    Ok(KernelOutcome {
+    let outcome = KernelOutcome {
         kernel,
         mode,
         params,
         cycles: run.makespan,
         run,
         output,
-    })
+    };
+    Ok((outcome, machine.engine_stats()))
 }
 
 /// [`run_kernel_opts`] with default options (accounting on, no faults).

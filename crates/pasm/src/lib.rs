@@ -31,8 +31,8 @@ pub mod report;
 pub mod sweep;
 
 pub use experiment::{
-    paper_workload, run_concurrent, run_kernel, run_kernel_opts, run_keyed, run_keyed_traced,
-    run_keyed_with_interrupt, run_matmul, run_matmul_opts, run_matmul_verified,
+    paper_workload, run_concurrent, run_kernel, run_kernel_engine, run_kernel_opts, run_keyed,
+    run_keyed_traced, run_keyed_with_interrupt, run_matmul, run_matmul_opts, run_matmul_verified,
     run_matmul_with_accounting, run_reduction, run_span_log, ExperimentKey, ExperimentResult,
     ExperimentTrace, Job, JobOutcome, KernelOutcome, MatmulOutcome, Mode, Params, ReduceOutcome,
     RunOptions, MATMUL,
@@ -40,8 +40,8 @@ pub use experiment::{
 pub use metrics::{efficiency, speedup, Breakdown};
 pub use pasm_kernels::{self as kernels, Kernel};
 pub use pasm_machine::{
-    single_faults, FaultPlan, Machine, MachineConfig, NetFault, PeFault, PeFaultSpec, ReleaseMode,
-    RunResult,
+    single_faults, BatchExit, EngineStats, FaultPlan, Machine, MachineConfig, NetFault, PeFault,
+    PeFaultSpec, ReleaseMode, RunResult,
 };
 pub use pasm_prog::{CommSync, Matrix};
 pub use sweep::{par_map, WorkerPool};
